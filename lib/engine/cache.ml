@@ -66,36 +66,12 @@ let store ~dir ~key (s : Engine.success) =
   let line = Printf.sprintf "%s %s" (Stdlib.Digest.to_hex (Stdlib.Digest.string payload)) payload in
   Rtt_diskio.Diskio.atomic_write ~path:(path ~dir ~key) line
 
-let lookup ~dir ~key =
-  match open_in_bin (path ~dir ~key) with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let len = in_channel_length ic in
-          if len < 33 then None
-          else
-            let line = really_input_string ic len in
-            if line.[32] <> ' ' then None
-            else
-              let payload = String.sub line 33 (len - 33) in
-              if Stdlib.Digest.to_hex (Stdlib.Digest.string payload) <> String.sub line 0 32 then
-                None
-              else success_of_payload payload)
-
 (* Raw entry transport for replication: followers warm their cache by
    copying the entry bytes verbatim. Reconstructing a success from a
    result file would lose the LP bounds (result files don't carry
    them), so shipping the checksummed line is both simpler and safer —
    a hit is still re-validated against the instance on lookup. *)
-let read_raw ~dir ~key =
-  match open_in_bin (path ~dir ~key) with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> Some (really_input_string ic (in_channel_length ic)))
+let read_raw ~dir ~key = Rtt_diskio.Diskio.read_file (path ~dir ~key)
 
 let store_raw ~dir ~key bytes =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error ((Unix.EEXIST | Unix.EISDIR), _, _) -> ());
@@ -113,26 +89,25 @@ let keys ~dir =
 
 let entries ~dir = List.length (keys ~dir)
 
-(* The audit mirrors [lookup] but names the reason an entry would read
-   as a miss — what fsck reports (and deletes under --repair), since a
-   silently ignored corrupt entry is litter that hides real damage. *)
-let audit ~dir ~key =
-  match open_in_bin (path ~dir ~key) with
-  | exception Sys_error _ -> Error "unreadable"
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let len = in_channel_length ic in
-          if len < 33 then Error (Printf.sprintf "truncated (%d bytes)" len)
-          else
-            let line = really_input_string ic len in
-            if line.[32] <> ' ' then Error "malformed checksum line"
-            else
-              let payload = String.sub line 33 (len - 33) in
-              if Stdlib.Digest.to_hex (Stdlib.Digest.string payload) <> String.sub line 0 32 then
-                Error "checksum mismatch"
-              else
-                match success_of_payload payload with
-                | Some _ -> Ok ()
-                | None -> Error "unparseable payload")
+(* One read path for hits and for the audit: the error names the
+   reason an entry reads as a miss — what fsck reports (and deletes
+   under --repair), since a silently ignored corrupt entry is litter
+   that hides real damage. *)
+let read_entry ~dir ~key =
+  match Rtt_diskio.Diskio.read_file (path ~dir ~key) with
+  | None -> Error "unreadable"
+  | Some line ->
+      let len = String.length line in
+      if len < 33 then Error (Printf.sprintf "truncated (%d bytes)" len)
+      else if line.[32] <> ' ' then Error "malformed checksum line"
+      else
+        let payload = String.sub line 33 (len - 33) in
+        if Stdlib.Digest.to_hex (Stdlib.Digest.string payload) <> String.sub line 0 32 then
+          Error "checksum mismatch"
+        else
+          match success_of_payload payload with
+          | Some s -> Ok s
+          | None -> Error "unparseable payload"
+
+let lookup ~dir ~key = Result.to_option (read_entry ~dir ~key)
+let audit ~dir ~key = Result.map ignore (read_entry ~dir ~key)

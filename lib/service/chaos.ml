@@ -112,15 +112,9 @@ let benign f =
 let check_spool ~spool ~cache_dir ~budget ~policy ~expected =
   let problems = ref [] in
   let add fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  let lines, committed = Journal.replay_wire ~spool in
-  let size =
-    match Unix.stat (Journal.path ~spool) with
-    | { Unix.st_size; _ } -> st_size
-    | exception Unix.Unix_error _ -> 0
-  in
+  let { Wal.records; committed; size; _ } = Journal.scan ~spool in
   if size <> committed then
     add "journal holds %d uncommitted bytes at quiescence" (size - committed);
-  let records = List.filter_map Journal.decode lines in
   let dones : (string, int) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun { Journal.job; event } ->
@@ -239,12 +233,6 @@ let run_inproc ?(jobs = 4) ~seed schedule =
 (* ------------------------------------------------------------------ *)
 (* the two-node workload                                               *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let run_proc exe args =
   let out = Filename.temp_file "rtt_chaos_out" ".txt" in
   let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
@@ -257,7 +245,7 @@ let run_proc exe args =
     | _, Unix.WEXITED c -> c
     | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> 255
   in
-  let text = read_file out in
+  let text = Option.value ~default:"" (Rtt_diskio.Diskio.read_file out) in
   Sys.remove out;
   (code, String.trim text)
 
@@ -395,8 +383,8 @@ let run_nodes ~rtt ?(jobs = 3) ~seed schedule =
         (* byte convergence: the follower's journal becomes the
            primary's, byte for byte *)
         let converged () =
-          let ta = try read_file (Journal.path ~spool:a) with Sys_error _ -> "" in
-          ta <> "" && ta = (try read_file (Journal.path ~spool:b) with Sys_error _ -> "")
+          let read spool = Rtt_diskio.Diskio.read_file (Journal.path ~spool) in
+          match read a with Some ta when ta <> "" -> read b = Some ta | _ -> false
         in
         if !problems = [] then begin
           if

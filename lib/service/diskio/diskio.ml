@@ -38,6 +38,14 @@ let ftruncate fd len =
   if Budget.probe ~site:eio_site then fail Unix.EIO "ftruncate";
   Unix.ftruncate fd len
 
+let read_file path =
+  match open_in_bin path with
+  | exception Sys_error _ -> None
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () -> Some (really_input_string ic (in_channel_length ic)))
+
 let atomic_write ~path body =
   let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in

@@ -55,6 +55,11 @@ val rename : string -> string -> unit
 val ftruncate : Unix.file_descr -> int -> unit
 (** [Unix.ftruncate]; probes {!eio_site}. *)
 
+val read_file : string -> string option
+(** The whole file, or [None] when it cannot be opened (missing,
+    unreadable). Reads are not fault sites: the chaos harness breaks
+    writes, and every reader already treats damage as a short file. *)
+
 val atomic_write : path:string -> string -> unit
 (** The tmp + write + fsync + rename idiom every durable artifact
     uses: write [body] to [path ^ ".<pid>.tmp"], fsync, rename over

@@ -21,62 +21,49 @@ let clean_exit_code = 0
 let dirty_exit_code = 50
 let repaired_exit_code = 51
 
-let read_whole p =
-  match open_in_bin p with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> Some (really_input_string ic (in_channel_length ic)))
-
 let list_dir dir = match Sys.readdir dir with exception Sys_error _ -> [] | a -> Array.to_list a
 
 (* ------------------------------------------------------------------ *)
 (* journal audit                                                       *)
 
-let journal_findings ~spool ~records =
-  let p = Journal.path ~spool in
-  let _, ok = Journal.replay_wire ~spool in
-  let size = match read_whole p with None -> 0 | Some s -> String.length s in
-  let tail = ref [] in
-  if size > ok then begin
-    let s = Option.get (read_whole p) in
-    let suffix = String.sub s ok (size - ok) in
+let journal_findings (scan : Journal.record Wal.scan) =
+  let file = "journal.log" in
+  if scan.size = scan.committed then []
+  else
     (* decodable complete lines past the corruption point are records
        the seal will drop: they cannot be trusted in sequence, but a
        peer that holds them can re-ship them after the seal *)
     let stranded =
-      String.split_on_char '\n' suffix
+      String.split_on_char '\n' scan.tail
       |> List.filter (fun l -> l <> "" && Journal.decode l <> None)
       |> List.length
     in
-    tail :=
-      {
-        code = "journal-torn-tail";
-        file = Filename.basename p;
-        detail =
-          Printf.sprintf "%d uncommitted byte%s past record %d" (size - ok)
-            (if size - ok = 1 then "" else "s")
-            records;
-        action = Seal;
-      }
-      :: !tail;
-    if stranded > 0 then
-      tail :=
-        {
-          code = "journal-stranded-records";
-          file = Filename.basename p;
-          detail =
-            Printf.sprintf
-              "%d decodable record%s after the corruption point; sealing drops them (a peer \
-               backfill restores them)"
-              stranded
-              (if stranded = 1 then "" else "s");
-          action = Seal;
-        }
-        :: !tail
-  end;
-  (List.rev !tail, size, ok)
+    let torn = scan.size - scan.committed in
+    {
+      code = "journal-torn-tail";
+      file;
+      detail =
+        Printf.sprintf "%d uncommitted byte%s past record %d" torn
+          (if torn = 1 then "" else "s")
+          (List.length scan.records);
+      action = Seal;
+    }
+    ::
+    (if stranded = 0 then []
+     else
+       [
+         {
+           code = "journal-stranded-records";
+           file;
+           detail =
+             Printf.sprintf
+               "%d decodable record%s after the corruption point; sealing drops them (a peer \
+                backfill restores them)"
+               stranded
+               (if stranded = 1 then "" else "s");
+           action = Seal;
+         };
+       ])
 
 (* State-machine coherence over the committed prefix: the replayable
    grammar tolerates these (Done is final, late events are ignored),
@@ -194,7 +181,9 @@ let spool_findings ~spool states =
         let job = Filename.chop_suffix name ".ckpt" in
         let path = Filename.concat spool name in
         let ok =
-          match read_whole path with None -> false | Some s -> Frame.unframe s <> None
+          match Rtt_diskio.Diskio.read_file path with
+          | None -> false
+          | Some s -> Frame.unframe s <> None
         in
         if not ok then
           add
@@ -233,50 +222,37 @@ let spool_findings ~spool states =
 (* session journals                                                    *)
 
 (* One CRC-framed [mut <escaped-op>] line per committed session
-   mutation, audited at the frame level — the op grammar itself is the
-   session layer's concern (its replay rejects what a byte scan cannot
-   see), but a torn or corrupt tail is exactly the journal-torn-tail
-   damage class and repairs the same way: truncate to the committed
-   prefix. The owning daemon performs the same seal on reattach; fsck
-   does it offline. *)
+   mutation, scanned by the same {!Wal} as the job journal but decoded
+   only at the frame level — the op grammar itself is the session
+   layer's concern (its replay rejects what a byte scan cannot see).
+   A torn or corrupt tail is exactly the journal-torn-tail damage class
+   and repairs the same way: truncate to the committed prefix. The
+   owning daemon performs the same seal on reattach; fsck does it
+   offline. *)
+let session_frame line =
+  match Frame.unframe line with
+  | Some payload when String.starts_with ~prefix:"mut " payload -> Some ()
+  | _ -> None
+
 let session_findings ~spool =
-  let root = Filename.concat spool "sessions" in
-  let out = ref [] in
-  List.iter
+  List.filter_map
     (fun sid ->
       let rel = Filename.concat (Filename.concat "sessions" sid) "journal.log" in
       let jpath = Filename.concat spool rel in
-      match read_whole jpath with
-      | None -> ()
-      | Some s ->
-          let n = String.length s in
-          let ok = ref 0 and start = ref 0 and stop = ref false in
-          while (not !stop) && !start < n do
-            match String.index_from_opt s !start '\n' with
-            | None -> stop := true
-            | Some nl -> (
-                let line = String.sub s !start (nl - !start) in
-                match Frame.unframe line with
-                | Some payload
-                  when String.length payload >= 4 && String.sub payload 0 4 = "mut " ->
-                    ok := nl + 1;
-                    start := nl + 1
-                | _ -> stop := true)
-          done;
-          if n > !ok then
-            out :=
-              {
-                code = "session-journal-torn-tail";
-                file = rel;
-                detail =
-                  Printf.sprintf "%d uncommitted byte%s past the committed mutation prefix"
-                    (n - !ok)
-                    (if n - !ok = 1 then "" else "s");
-                action = Truncate { path = jpath; bytes = !ok };
-              }
-              :: !out)
-    (List.sort compare (list_dir root));
-  List.rev !out
+      let s = Wal.scan ~decode:session_frame jpath in
+      let torn = s.size - s.committed in
+      if torn = 0 then None
+      else
+        Some
+          {
+            code = "session-journal-torn-tail";
+            file = rel;
+            detail =
+              Printf.sprintf "%d uncommitted byte%s past the committed mutation prefix" torn
+                (if torn = 1 then "" else "s");
+            action = Truncate { path = jpath; bytes = s.committed };
+          })
+    (List.sort compare (list_dir (Filename.concat spool "sessions")))
 
 (* ------------------------------------------------------------------ *)
 (* cache audit                                                         *)
@@ -356,20 +332,17 @@ let cache_findings ~spool ~cache_dir ~budget ~policy =
 (* the scan                                                            *)
 
 let scan ~spool ?cache_dir ?budget ?policy () =
-  let lines, _ = Journal.replay_wire ~spool in
-  let records = List.filter_map Journal.decode lines in
-  let states = Journal.fold records in
-  let journal, journal_bytes, committed_bytes =
-    journal_findings ~spool ~records:(List.length records)
-  in
+  let journal = Journal.scan ~spool in
+  let records = journal.records in
   let cache, cache_entries = cache_findings ~spool ~cache_dir ~budget ~policy in
   {
     findings =
-      journal @ coherence_findings records @ spool_findings ~spool states
+      journal_findings journal @ coherence_findings records
+      @ spool_findings ~spool (Journal.fold records)
       @ session_findings ~spool @ cache;
     records = List.length records;
-    journal_bytes;
-    committed_bytes;
+    journal_bytes = journal.size;
+    committed_bytes = journal.committed;
     cache_entries;
   }
 
@@ -395,14 +368,7 @@ let repair ~spool r =
           end;
           performed := f :: !performed
       | Truncate { path; bytes } ->
-          (try
-             let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-             Fun.protect
-               ~finally:(fun () -> Unix.close fd)
-               (fun () ->
-                 Rtt_diskio.Diskio.ftruncate fd bytes;
-                 Rtt_diskio.Diskio.fsync fd)
-           with Unix.Unix_error _ -> ());
+          (try Wal.truncate path bytes with Unix.Unix_error _ -> ());
           performed := f :: !performed
       | Delete path ->
           (try Sys.remove path with Sys_error _ -> ());

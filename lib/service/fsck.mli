@@ -17,9 +17,9 @@
       stale sidecars for jobs already terminal;
     - {b session journals}: each
       [sessions/<sid>/journal.log] ({!Rtt_session.Session}) is scanned
-      at the frame level for bytes past its committed mutation prefix —
-      the same torn-tail class as the main journal, repaired by
-      truncating that journal alone;
+      through the same {!Wal} as the main journal, decoding only the
+      frame, for bytes past its committed mutation prefix — the same
+      torn-tail class, repaired by truncating that journal alone;
     - {b cache}: checksum audit of every entry
       ({!Rtt_engine.Cache.audit}), and — when a budget is supplied — a
       fingerprint audit that re-validates each entry reachable from a

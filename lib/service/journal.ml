@@ -74,96 +74,17 @@ let decode line = Option.bind (Frame.unframe line) record_of_payload
 (* ------------------------------------------------------------------ *)
 (* durable log                                                         *)
 
-type t = { fd : Unix.file_descr }
+type t = Wal.t
 
 let path ~spool = Filename.concat spool "journal.log"
-
-let read_whole p =
-  match open_in_bin p with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> Some (really_input_string ic (in_channel_length ic)))
-
-(* The committed prefix at the byte level: every line must both decode
-   and carry its terminating newline. A final line that happens to
-   decode but has no '\n' is still a torn write — counting it would let
-   a subsequent append glue a new record onto it, corrupting both. *)
-let replay_wire ~spool =
-  match read_whole (path ~spool) with
-  | None -> ([], 0)
-  | Some s ->
-      let n = String.length s in
-      let lines = ref [] in
-      let ok = ref 0 in
-      let start = ref 0 in
-      let stop = ref false in
-      while (not !stop) && !start < n do
-        match String.index_from_opt s !start '\n' with
-        | None -> stop := true
-        | Some nl -> (
-            let line = String.sub s !start (nl - !start) in
-            match decode line with
-            | Some _ ->
-                lines := line :: !lines;
-                ok := nl + 1;
-                start := nl + 1
-            | None -> stop := true)
-      done;
-      (List.rev !lines, !ok)
-
-let seal ~spool =
-  let lines, ok = replay_wire ~spool in
-  let p = path ~spool in
-  (match Unix.stat p with
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-  | st ->
-      if st.Unix.st_size > ok then begin
-        let fd = Unix.openfile p [ Unix.O_WRONLY ] 0o644 in
-        Fun.protect
-          ~finally:(fun () -> Unix.close fd)
-          (fun () ->
-            Rtt_diskio.Diskio.ftruncate fd ok;
-            Rtt_diskio.Diskio.fsync fd)
-      end);
-  List.length lines
-
-(* Sealing on open means an append after a torn final write lands on a
-   newline boundary instead of being glued onto the torn line — which
-   would make the new record (and everything after it) unreadable. *)
-let open_ ~spool =
-  ignore (seal ~spool);
-  { fd = Unix.openfile (path ~spool) [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644 }
-
-let append_line t line =
-  let bytes = Bytes.of_string (line ^ "\n") in
-  Rtt_diskio.Diskio.write_all t.fd bytes 0 (Bytes.length bytes);
-  Rtt_diskio.Diskio.fsync t.fd
-
+let scan ~spool = Wal.scan ~decode (path ~spool)
+let replay ~spool = (scan ~spool).Wal.records
+let seal ~spool = List.length (Wal.seal ~decode (path ~spool)).Wal.records
+let open_ ~spool = fst (Wal.open_ ~decode (path ~spool))
+let append_line = Wal.append
 let append t r = append_line t (encode r)
-let close t = Unix.close t.fd
-let fd t = t.fd
-
-let replay ~spool =
-  match open_in (path ~spool) with
-  | exception Sys_error _ -> []
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let rec go acc =
-            match input_line ic with
-            | exception End_of_file -> List.rev acc
-            | line -> (
-                match decode line with
-                | Some r -> go (r :: acc)
-                (* an undecodable record ends the valid prefix: it is
-                   either a torn final write or corruption, and nothing
-                   after it can be trusted *)
-                | None -> List.rev acc)
-          in
-          go [])
+let close = Wal.close
+let fd = Wal.fd
 
 (* ------------------------------------------------------------------ *)
 (* derived state                                                       *)

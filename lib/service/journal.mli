@@ -1,13 +1,15 @@
 (** Write-ahead job journal: the supervisor's single source of truth.
 
-    Append-only, line-framed, one record per line, each protected by a
-    CRC-32 over its payload and fsync'd before {!append} returns — so a
-    [kill -9] at any instruction leaves a journal whose valid prefix is
+    The job-event codec over a {!Wal}: append-only, one CRC-framed
+    record per line, fsync'd before {!append} returns — so a [kill -9]
+    at any instruction leaves a journal whose committed prefix is
     exactly the set of events that were durably acknowledged. Replay
-    ({!replay}) accepts that prefix and drops a truncated or
-    CRC-corrupt tail record (and anything after it) instead of failing:
-    an interrupted append is indistinguishable from an append that
-    never happened, which is the correct recovery semantics for a WAL.
+    ({!replay}) returns that prefix and drops a torn or CRC-corrupt
+    tail (and anything after it) instead of failing: an interrupted
+    append is indistinguishable from an append that never happened,
+    which is the correct recovery semantics for a WAL. Replay and
+    {!seal} share the {!Wal.scan}, so what replay counts is exactly
+    what the next open keeps.
 
     The derived job state ({!fold}/{!apply}) is a pure left fold, so
     replaying any prefix of a journal and then the rest yields the same
@@ -57,16 +59,13 @@ val append_line : t -> string -> unit
     format ever grows alternate spellings. The line is not validated;
     callers decode before appending. *)
 
-val replay_wire : spool:string -> string list * int
-(** The committed prefix at the byte level: the framed lines (without
-    their newlines) that both decode and end in ['\n'], and the total
-    byte length of that prefix (newlines included). A decodable final
-    line with no terminating newline is a torn write and is excluded.
-    This is the stream a primary ships to followers and the follower's
-    durable watermark is [List.length (fst (replay_wire ...))]. *)
+val scan : spool:string -> record Wal.scan
+(** One read of the journal, split at its committed prefix
+    ({!Wal.scan}). [lines] is the stream a primary ships to followers,
+    and a follower's durable watermark is [List.length lines]. *)
 
 val seal : spool:string -> int
-(** Truncate the journal to its committed prefix ({!replay_wire}) and
+(** Truncate the journal to its committed prefix ({!scan}) and
     fsync; returns the number of committed records. A missing journal
     seals to 0 records. Promotion calls this to fsync-seal a follower's
     tail before replaying claims. *)
@@ -79,9 +78,10 @@ val fd : t -> Unix.file_descr
     process may write. *)
 
 val replay : spool:string -> record list
-(** The journal's valid prefix, in append order. A missing journal is
-    an empty one. A record that fails CRC or framing ends the prefix:
-    it and everything after it are dropped. *)
+(** The journal's committed records, in append order: exactly the
+    records {!seal} keeps. A missing journal is an empty one. A record
+    that fails CRC or framing, or lost its newline, ends the prefix: it
+    and everything after it are dropped. *)
 
 (** {1 Derived job state} *)
 

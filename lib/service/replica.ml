@@ -9,9 +9,8 @@ let open_follower ~spool =
   (* Journal.open_ seals, so replay after it sees exactly the committed
      prefix the watermark counts. *)
   let journal = Journal.open_ ~spool in
-  let lines, _bytes = Journal.replay_wire ~spool in
-  let records = List.filter_map Journal.decode lines in
-  { journal; spool; watermark = List.length lines; states = Journal.fold records }
+  let s = Journal.scan ~spool in
+  { journal; spool; watermark = List.length s.Wal.lines; states = Journal.fold s.Wal.records }
 
 let close_follower f = Journal.close f.journal
 
@@ -28,18 +27,11 @@ let apply_line f ~seq ~line =
         `Applied r
 
 let lines_from ~spool from =
-  let lines, _ = Journal.replay_wire ~spool in
-  List.filteri (fun seq _ -> seq >= from) lines |> List.mapi (fun i line -> (from + i, line))
+  (Journal.scan ~spool).Wal.lines
+  |> List.filteri (fun seq _ -> seq >= from)
+  |> List.mapi (fun i line -> (from + i, line))
 
 let write_blob ~path body = Rtt_diskio.Diskio.atomic_write ~path body
-
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> Some (really_input_string ic (in_channel_length ic)))
 
 (* Attachments ship before their frame so the receiver's journal never
    leads its spool — the same durability order the primary itself
@@ -54,11 +46,11 @@ let attachment_specs ~spool ~cache_dir (r : Journal.record) =
   in
   match r.Journal.event with
   | Journal.Queued -> (
-      match read_file (Filename.concat spool job) with
+      match Rtt_diskio.Diskio.read_file (Filename.concat spool job) with
       | Some body -> [ `Instance (job, body) ]
       | None -> [])
   | Journal.Done _ ->
-      (match read_file (Work.result_path ~spool ~job) with
+      (match Rtt_diskio.Diskio.read_file (Work.result_path ~spool ~job) with
       | Some body -> [ `Result (job, body) ]
       | None -> [])
       @ (match cache_dir with

@@ -194,12 +194,9 @@ let validate st =
     | Error e -> Error (Error.to_string e)
 
 (* ------------------------------------------------------------------ *)
-(* per-session journal: one CRC-framed line per committed mutation,
-   fsync'd before the mutation is acknowledged. The grammar is [mut
-   <escaped-op>]; the committed prefix is the longest run of lines that
-   frame-decode, parse, and carry their terminating newline — exactly
-   {!Rtt_service.Journal.replay_wire}'s discipline, restated here
-   because that reader insists on the job-event grammar. *)
+(* per-session journal: one CRC-framed [mut <escaped-op>] line per
+   committed mutation, fsync'd before the mutation is acknowledged. A
+   line counts only if its op parses too. *)
 
 let record_of_op op = Frame.frame ("mut " ^ Frame.escape (op_to_string op))
 
@@ -216,59 +213,13 @@ let op_of_record line =
               match op_of_string op_line with Ok op -> Some op | Error _ -> None))
       | _ -> None)
 
-let read_whole path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> Some (really_input_string ic (in_channel_length ic)))
-
-let committed_ops path =
-  match read_whole path with
-  | None -> ([], 0)
-  | Some s ->
-      let n = String.length s in
-      let ops = ref [] in
-      let ok = ref 0 in
-      let start = ref 0 in
-      let stop = ref false in
-      while (not !stop) && !start < n do
-        match String.index_from_opt s !start '\n' with
-        | None -> stop := true
-        | Some nl -> (
-            let line = String.sub s !start (nl - !start) in
-            match op_of_record line with
-            | Some op ->
-                ops := op :: !ops;
-                ok := nl + 1;
-                start := nl + 1
-            | None -> stop := true)
-      done;
-      (List.rev !ops, !ok)
-
-let seal_journal path =
-  let ops, ok = committed_ops path in
-  (match Unix.stat path with
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-  | st ->
-      if st.Unix.st_size > ok then begin
-        let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-        Fun.protect
-          ~finally:(fun () -> Unix.close fd)
-          (fun () ->
-            Rtt_diskio.Diskio.ftruncate fd ok;
-            Rtt_diskio.Diskio.fsync fd)
-      end);
-  List.length ops
-
 (* ------------------------------------------------------------------ *)
 (* the store                                                           *)
 
 type t = {
   sid : string;
   dir : string;
-  fd : Unix.file_descr;
+  wal : Wal.t;
   mutable state : state;
   mutable revision : int;
   mutable problem : Problem.t option;
@@ -305,11 +256,9 @@ let open_ store sid =
         let dir = Filename.concat (sessions_root store.spool) sid in
         ensure_dir (sessions_root store.spool);
         ensure_dir dir;
-        let journal = Filename.concat dir "journal.log" in
-        (* seal a torn tail so the next append starts on a newline
-           boundary, then replay the committed mutations *)
-        ignore (seal_journal journal);
-        let ops, _ = committed_ops journal in
+        (* sealing on open makes the next append start on a newline
+           boundary; the seal's scan is the replay *)
+        let wal, scan = Wal.open_ ~decode:op_of_record (Filename.concat dir "journal.log") in
         let rec replay st rev problem = function
           | [] -> Ok (st, rev, problem)
           | op :: rest -> (
@@ -322,19 +271,15 @@ let open_ store sid =
                       Error (Printf.sprintf "replay failed at mutation %d: %s" (rev + 1) msg)
                   | Ok problem' -> replay st' (rev + 1) problem' rest))
         in
-        match replay empty_state 0 None ops with
-        | Error _ as e -> e
+        match replay empty_state 0 None scan.Wal.records with
+        | Error _ as e ->
+            Wal.close wal;
+            e
         | Ok (state, revision, problem) ->
-            let fd = Unix.openfile journal [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644 in
-            let t = { sid; dir; fd; state; revision; problem; warm = None; basis = None } in
+            let t = { sid; dir; wal; state; revision; problem; warm = None; basis = None } in
             Hashtbl.replace store.sessions sid t;
             Ok t
       end
-
-let append_op t op =
-  let bytes = Bytes.of_string (record_of_op op ^ "\n") in
-  Rtt_diskio.Diskio.write_all t.fd bytes 0 (Bytes.length bytes);
-  Rtt_diskio.Diskio.fsync t.fd
 
 (* Remap the remembered answer across the mutation so the next
    re-solve can still use it as a phantom bound. Only shape changes
@@ -360,7 +305,7 @@ let mutate t op =
           (* durability before acknowledgement: journal first (fsync'd),
              then apply in memory — a crash between the two replays the
              mutation on reopen *)
-          append_op t op;
+          Wal.append t.wal (record_of_op op);
           t.state <- st';
           t.problem <- problem;
           t.warm <- remap_warm t.warm op;
@@ -415,7 +360,7 @@ let solve ?fuel ?policy ?max_states t =
 
 let close store t =
   Hashtbl.remove store.sessions t.sid;
-  (try Unix.close t.fd with Unix.Unix_error _ -> ());
+  (try Wal.close t.wal with Unix.Unix_error _ -> ());
   (try Sys.remove (Filename.concat t.dir "journal.log") with Sys_error _ -> ());
   try Unix.rmdir t.dir with Unix.Unix_error _ -> ()
 

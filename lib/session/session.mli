@@ -12,10 +12,11 @@
       edge, a cycle is rejected naming a witness vertex — and a
       rejected mutation leaves the session untouched.
     - {b Durable like a job.} Every accepted mutation is appended to a
-      per-session CRC-framed journal ([<spool>/sessions/<sid>/journal.log])
-      and fsync'd {e before} the caller learns the new revision, so a
-      session survives [kill -9]: reopening replays the committed
-      prefix (sealing a torn tail) to the identical state.
+      per-session journal ([<spool>/sessions/<sid>/journal.log]) in the
+      job journal's log format ({!Rtt_service.Wal}) and fsync'd
+      {e before} the caller learns the new revision, so a session
+      survives [kill -9]: reopening replays the committed prefix
+      (sealing a torn tail) to the identical state.
     - {b Warm but byte-identical.} A re-solve reuses the previous
       answer two ways — the last allocation becomes the exact rung's
       answer-preserving exploration cap ({!Rtt_core.Exact.min_makespan}
@@ -112,11 +113,6 @@ val cold_render : Rtt_core.Problem.t -> Rtt_engine.Engine.success -> string
 (** The same canonical rendering {!solve} puts in [rendered], exposed
     so tests and the bench can compare a cold solve's text against a
     session's byte for byte. *)
-
-val seal_journal : string -> int
-(** Truncate a session journal (path to the [journal.log]) to its
-    committed frame prefix; returns the committed record count. What
-    [rtt fsck --repair] applies to a torn session journal. *)
 
 val list_sids : spool:string -> string list
 (** The session ids journaled under [<spool>/sessions], sorted. *)

@@ -188,19 +188,14 @@ let journal_props =
           (* committed = records whose full line (incl. '\n') fits in k *)
           let m = List.length (List.filter (fun b -> b <= k) boundaries) in
           let committed = List.filteri (fun i _ -> i < m) records in
-          let lines, bytes = Journal.replay_wire ~spool in
-          if lines <> List.map Journal.encode committed then ok := false;
-          if bytes <> List.fold_left (fun a b -> if b <= k then max a b else a) 0 boundaries
+          let s = Journal.scan ~spool in
+          if s.Wal.lines <> List.map Journal.encode committed then ok := false;
+          if
+            s.Wal.committed <> List.fold_left (fun a b -> if b <= k then max a b else a) 0 boundaries
           then ok := false;
-          (* plain replay may additionally see a COMPLETE final line whose
-             newline was cut — decodable, but still torn at the byte level *)
-          let replayed = Journal.replay ~spool in
-          let extra_ok =
-            replayed = committed
-            || List.exists (fun b -> b = k + 1) boundaries
-               && replayed = List.filteri (fun i _ -> i <= m) records
-          in
-          if not extra_ok then ok := false;
+          (* replay sees exactly the committed prefix, even when only the
+             newline of a complete final line was cut *)
+          if Journal.replay ~spool <> committed then ok := false;
           (* sealing the truncated file, then appending, must land the new
              record cleanly after the committed prefix *)
           if k = String.length text / 2 then begin
@@ -236,6 +231,36 @@ let journal_units =
         in
         write_file (Journal.path ~spool) (String.concat "\n" corrupt ^ "\n");
         Alcotest.(check (list record_testable)) "prefix" [ r 0; r 1 ] (Journal.replay ~spool));
+    Alcotest.test_case "replay folds what the seal keeps: a newline-cut done is not done"
+      `Quick (fun () ->
+        let spool = fresh_spool "nlcut" in
+        let j = Journal.open_ ~spool in
+        List.iter
+          (fun event -> Journal.append j { Journal.job = "a"; event })
+          [
+            Journal.Queued;
+            Journal.Started { attempt = 1 };
+            Journal.Done { attempt = 1; makespan = 5; budget_used = 1; fuel = 9; cached = false };
+          ];
+        Journal.close j;
+        let text =
+          let ic = open_in_bin (Journal.path ~spool) in
+          let s = really_input_string ic (in_channel_length ic) in
+          close_in ic;
+          s
+        in
+        (* cut only the final newline: the done line still decodes *)
+        write_file (Journal.path ~spool) (String.sub text 0 (String.length text - 1));
+        let statuses () =
+          List.map
+            (fun (job, st) -> (job, Journal.status_name st))
+            (Journal.fold (Journal.replay ~spool))
+        in
+        let before = statuses () in
+        ignore (Journal.seal ~spool);
+        let after = statuses () in
+        Alcotest.(check (list (pair string string))) "fold before seal = fold after" after before;
+        Alcotest.(check (list (pair string string))) "still running" [ ("a", "running") ] after);
     Alcotest.test_case "missing journal replays as empty" `Quick (fun () ->
         Alcotest.(check (list record_testable))
           "empty" [] (Journal.replay ~spool:(fresh_spool "none")));

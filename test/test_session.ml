@@ -13,6 +13,7 @@ open Rtt_duration
 open Rtt_core
 open Rtt_engine
 open Rtt_session
+module Fsck = Rtt_service.Fsck
 
 let prop name count arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)
 
@@ -238,6 +239,79 @@ let mutation_units =
 (* ------------------------------------------------------------------ *)
 (* journal durability                                                  *)
 
+(* A multi-mutation journal written through a real session: a random
+   stream of accepted mutations after one add-job. Returns the journal
+   bytes; the session is closed again, so the caller owns the file. *)
+let session_journal seed =
+  let rng = rng_of seed in
+  let spool = fresh_spool "chop" in
+  let store = Session.create_store ~spool in
+  let t = must (Session.open_ store "s") in
+  ignore (must (Session.mutate t (Session.Add_job (random_tuples rng))));
+  let n = ref 1 in
+  for _ = 1 to 8 do
+    let op = random_op rng ~n:!n in
+    match Session.mutate t op with
+    | Error _ -> ()
+    | Ok _ -> (
+        match op with
+        | Session.Add_job _ -> incr n
+        | Session.Remove_job _ -> decr n
+        | Session.Seed text -> n := Problem.n_jobs (Io.of_string text)
+        | _ -> ())
+  done;
+  let text = read_file (journal_path spool "s") in
+  Session.close store t;
+  (spool, text)
+
+let journal_props =
+  [
+    (* the session journal shares the job journal's log, so it owes the
+       same guarantee: cut it at EVERY byte offset, and reopening keeps
+       exactly the complete lines while fsck flags exactly the torn
+       bytes past them *)
+    prop "truncation at every byte offset reopens at the committed prefix" 5
+      QCheck.(int_range 0 100_000)
+      (fun seed ->
+        let spool, text = session_journal seed in
+        let j = journal_path spool "s" in
+        let dir = Filename.dirname j in
+        (* end offset of each newline-terminated line *)
+        let boundaries =
+          List.init (String.length text) succ |> List.filter (fun b -> text.[b - 1] = '\n')
+        in
+        let ok = ref true in
+        for k = 0 to String.length text do
+          let m = List.length (List.filter (fun b -> b <= k) boundaries) in
+          let committed =
+            List.fold_left (fun a b -> if b <= k then max a b else a) 0 boundaries
+          in
+          (* [Session.close] removed the directory last round *)
+          (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+          let oc = open_out_bin j in
+          output_string oc (String.sub text 0 k);
+          close_out oc;
+          let torn =
+            List.exists
+              (fun f -> f.Fsck.code = "session-journal-torn-tail")
+              (Fsck.scan ~spool ()).Fsck.findings
+          in
+          if torn <> (k > committed) then ok := false;
+          let store = Session.create_store ~spool in
+          let t = must (Session.open_ store "s") in
+          if Session.revision t <> m then ok := false;
+          if read_file j <> String.sub text 0 committed then ok := false;
+          (* an append after the seal lands on the boundary and replays *)
+          if k = String.length text / 2 then begin
+            ignore (must (Session.mutate t (Session.Set_budget 1)));
+            let t' = must (Session.open_ (Session.create_store ~spool) "s") in
+            if Session.revision t' <> m + 1 then ok := false
+          end;
+          Session.close store t
+        done;
+        !ok);
+  ]
+
 let journal_units =
   [
     Alcotest.test_case "torn journal tail is sealed on reopen" `Quick (fun () ->
@@ -258,7 +332,8 @@ let journal_units =
         Alcotest.(check int) "revision replayed" 3 (Session.revision t2);
         Alcotest.(check string) "journal sealed" intact (read_file j);
         Alcotest.(check string) "answer identical" before (must_solve t2).Session.rendered);
-    Alcotest.test_case "seal_journal truncates to the committed prefix" `Quick (fun () ->
+    Alcotest.test_case "fsck repair truncates a torn session journal to the committed prefix"
+      `Quick (fun () ->
         let spool = fresh_spool "seal" in
         let store = Session.create_store ~spool in
         let t = must (Session.open_ store "s") in
@@ -267,18 +342,23 @@ let journal_units =
         let j = journal_path spool "s" in
         let intact = read_file j in
         (* cut the last committed record in half, as a crash mid-append
-           would: only the first record survives the seal *)
+           would: only the first record survives the repair *)
         let cut = String.length intact - 7 in
         let oc = open_out_bin j in
         output_string oc (String.sub intact 0 cut);
         close_out oc;
-        Alcotest.(check int) "committed records" 1 (Session.seal_journal j);
+        let report = Fsck.scan ~spool () in
+        Alcotest.(check (list string)) "torn tail found" [ "session-journal-torn-tail" ]
+          (List.map (fun f -> f.Fsck.code) report.Fsck.findings);
+        ignore (Fsck.repair ~spool report);
         let sealed = read_file j in
         Alcotest.(check bool) "sealed to a record boundary" true
           (String.length sealed < cut && String.length sealed > 0);
+        Alcotest.(check bool) "clean after repair" false (Fsck.dirty (Fsck.scan ~spool ()));
         let store2 = Session.create_store ~spool in
         let t2 = must (Session.open_ store2 "s") in
-        Alcotest.(check int) "only the seed survived" 1 (Session.revision t2));
+        Alcotest.(check int) "only the seed survived" 1 (Session.revision t2);
+        Alcotest.(check string) "open keeps the repaired journal" sealed (read_file j));
     Alcotest.test_case "close deletes; list_sids tracks journals" `Quick (fun () ->
         let spool = fresh_spool "list" in
         let store = Session.create_store ~spool in
@@ -308,4 +388,5 @@ let () =
       ("warm-equals-cold", warm_props);
       ("mutations", mutation_units);
       ("journal", journal_units);
+      ("journal-props", journal_props);
     ]
