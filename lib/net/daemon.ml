@@ -27,14 +27,6 @@ let default_config ~spool ~socket_path =
 
 type repl_peer = { conn : Conn.t; mutable sent : int; mutable acked : int }
 
-type worker = {
-  pid : int;
-  to_w : Unix.file_descr;
-  from_w : Unix.file_descr;
-  reader : Frame.reader;
-  mutable current : (string * int) option;
-}
-
 (* a request relayed to the shard that owns its job id, waiting for the
    owner's response to come back over the link *)
 type relay = { relay_id : string; deliver : Protocol.response -> unit }
@@ -46,15 +38,6 @@ type link = {
   mutable relays : relay list; (* FIFO *)
   mutable last_ping : float;
 }
-
-let reap pid =
-  let rec go () =
-    match Unix.waitpid [] pid with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-    | _ -> ()
-  in
-  go ()
 
 let now () = Unix.gettimeofday ()
 
@@ -184,20 +167,11 @@ let serve cfg ~shard ~shards ~own_socket ls =
     else job
   in
   let job_of_id id = id ^ Work.instance_suffix in
-  let next_attempt job =
-    match status_of job with
-    | Some (Journal.Completed _) | Some (Journal.Dead _) -> None
-    | Some (Journal.Pending { attempts }) -> Some (attempts + 1)
-    | Some (Journal.Running { attempt }) | Some (Journal.Interrupted { attempt }) ->
-        Some (attempt + 1)
-    | None -> Some 1
-  in
   let admission = Admission.create ~capacity:cfg.queue_capacity () in
   let sessions = Session.create_store ~spool in
   let started_at : (string, float) Hashtbl.t = Hashtbl.create 32 in
   let conns = ref ([] : Conn.t list) in
   let waiters : (string, Conn.t list) Hashtbl.t = Hashtbl.create 16 in
-  let workers = ref ([] : worker list) in
   let listeners = ref ([] : Unix.file_descr list) in
   let links : (int, link) Hashtbl.t = Hashtbl.create 8 in
   let drain = ref false in
@@ -296,122 +270,39 @@ let serve cfg ~shard ~shards ~own_socket ls =
     notify_waiters job
   in
   (* ---------------------------------------------------------------- *)
-  (* workers: forked Pool.worker_loop children, pool wire protocol     *)
-  let spawn () =
-    let ar, aw = Unix.pipe () in
-    let br, bw = Unix.pipe () in
-    match Unix.fork () with
-    | 0 ->
-        Unix.close aw;
-        Unix.close br;
-        List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !listeners;
-        List.iter (fun c -> try Unix.close (Conn.fd c) with Unix.Unix_error _ -> ()) !conns;
-        Hashtbl.iter (fun _ l -> try Unix.close l.lfd with Unix.Unix_error _ -> ()) links;
-        List.iter
-          (fun w ->
-            Unix.close w.to_w;
-            Unix.close w.from_w)
-          !workers;
-        (try Unix.close (Journal.fd journal) with Unix.Unix_error _ -> ());
-        (* the parent's LP counters (warm-start stats, pivot counts) are
-           inherited across fork; zero them so the worker's figures are
-           its own *)
-        Rtt_lp.Simplex.reset_stats ();
-        Pool.worker_loop cfg.service ~from_parent:ar ~to_parent:bw
-    | pid ->
-        Unix.close ar;
-        Unix.close bw;
-        let w = { pid; to_w = aw; from_w = br; reader = Frame.reader (); current = None } in
-        workers := !workers @ [ w ];
-        log "spawned worker %d" pid
-  in
-  let handle_death w =
-    (try Unix.close w.to_w with Unix.Unix_error _ -> ());
-    (try Unix.close w.from_w with Unix.Unix_error _ -> ());
-    reap w.pid;
-    workers := List.filter (fun x -> x.pid <> w.pid) !workers;
-    match w.current with
-    | None -> ()
-    | Some (job, attempt) ->
-        (* claim replay: the attempt is consumed (states still Running),
-           the job goes back in line and resumes from its checkpoint *)
-        log "worker %d died holding %s (attempt %d)" w.pid job attempt;
-        w.current <- None;
-        if not !force then Admission.requeue admission ~id:job
-  in
+  (* workers: the pool's fleet; the daemon keeps only admission, and a
+     serving daemon never idles a slot waiting out a backoff (it is
+     journaled for forensics)                                          *)
   let max_attempts = cfg.service.Work.max_attempts in
-  let handle_report w payload =
-    match (w.current, Pool.parse_report payload) with
-    | ( Some (job, attempt),
-        Some (Pool.Solved { attempt = a; makespan; budget_used; fuel; cached }) )
-      when a = attempt ->
-        record (Journal.Done { attempt; makespan; budget_used; fuel; cached }) job;
-        w.current <- None;
-        complete job
-    | ( Some (job, attempt),
-        Some (Pool.Failed { attempt = a; error_class; transient; backoff }) )
-      when a = attempt ->
-        w.current <- None;
-        if transient && attempt < max_attempts then begin
-          (* the deterministic backoff is journaled for forensics, but a
-             serving daemon never idles a slot waiting for it *)
-          record (Journal.Failed { attempt; error_class; transient = true; backoff }) job;
-          Admission.requeue admission ~id:job
-        end
-        else begin
-          record (Journal.Failed { attempt; error_class; transient = false; backoff = 0 }) job;
-          complete job
-        end
-    | Some (job, attempt), Some (Pool.Abandoned { attempt = a }) when a = attempt ->
-        record (Journal.Abandoned { attempt }) job;
-        w.current <- None;
-        if not !force then Admission.requeue admission ~id:job
-    | _, _ -> log "unexpected worker message %S ignored" payload
+  let settled ~job ~attempt:_ = function
+    | Pool.Finished -> complete job
+    | Pool.Retry _ -> Admission.requeue admission ~id:job
+    | Pool.Replay -> if not !force then Admission.requeue admission ~id:job
   in
-  let worker_readable w =
-    let buf = Bytes.create 4096 in
-    match Eintr.read w.from_w buf 0 4096 with
-    | 0 -> handle_death w
-    | n ->
-        List.iter
-          (function
-            | `Frame payload -> handle_report w payload
-            | `Corrupt line -> log "unframed line from worker %d ignored: %S" w.pid line
-            | `Overflow -> handle_death w)
-          (Frame.feed w.reader (Bytes.sub_string buf 0 n))
+  let fleet =
+    Pool.Fleet.create cfg.service ~journal ~record ~settled ~log:(log "%s")
+      ~child:(fun () ->
+        let close fd = try Unix.close fd with Unix.Unix_error _ -> () in
+        List.iter close !listeners;
+        List.iter (fun c -> close (Conn.fd c)) !conns;
+        Hashtbl.iter (fun _ l -> close l.lfd) links)
   in
   let rec assign_idle () =
-    match List.find_opt (fun w -> w.current = None) !workers with
-    | None -> ()
-    | Some w -> (
-        match Admission.take admission with
-        | None -> ()
-        | Some job -> (
-            match next_attempt job with
-            | None ->
-                (* adopted twice or completed while queued *)
-                complete job;
-                assign_idle ()
-            | Some attempt when attempt > max_attempts ->
-                record
-                  (Journal.Failed
-                     {
-                       attempt = max_attempts;
-                       error_class = "retries-exhausted";
-                       transient = false;
-                       backoff = 0;
-                     })
-                  job;
-                complete job;
-                assign_idle ()
-            | Some attempt ->
-                record (Journal.Started { attempt }) job;
-                Hashtbl.replace started_at job (now ());
-                w.current <- Some (job, attempt);
-                log "assign %s (attempt %d) to worker %d" job attempt w.pid;
-                (try Pool.send w.to_w (Pool.assignment ~job ~attempt)
-                 with Unix.Unix_error _ -> handle_death w);
-                assign_idle ()))
+    if Pool.Fleet.has_idle fleet then
+      match Admission.take admission with
+      | None -> ()
+      | Some job ->
+          (match Journal.next_attempt (status_of job) with
+          | None ->
+              (* adopted twice or completed while queued *)
+              complete job
+          | Some attempt when attempt > max_attempts ->
+              record (Journal.retries_exhausted ~max_attempts) job;
+              complete job
+          | Some attempt ->
+              Hashtbl.replace started_at job (now ());
+              Pool.Fleet.assign fleet ~job ~attempt);
+          assign_idle ()
   in
   (* ---------------------------------------------------------------- *)
   (* replication: ship committed journal lines (plus the spool files
@@ -827,43 +718,6 @@ let serve cfg ~shard ~shards ~own_socket ls =
   in
   (* ---------------------------------------------------------------- *)
   (* shutdown                                                          *)
-  let finish_workers () =
-    if !force then
-      List.iter
-        (fun w -> try Unix.kill w.pid Sys.sigterm with Unix.Unix_error _ -> ())
-        !workers
-    else
-      List.iter
-        (fun w -> try Pool.send w.to_w Pool.quit_payload with Unix.Unix_error _ -> ())
-        !workers;
-    let busy () = List.exists (fun w -> w.current <> None) !workers in
-    let deadline = now () +. 30.0 in
-    while busy () && now () < deadline do
-      let fds = List.map (fun w -> w.from_w) !workers in
-      let r, _, _ = Eintr.select fds [] [] 0.1 in
-      List.iter
-        (fun fd ->
-          match List.find_opt (fun w -> w.from_w = fd) !workers with
-          | Some w -> worker_readable w
-          | None -> ())
-        r
-    done;
-    List.iter
-      (fun w ->
-        (match w.current with
-        | Some (job, attempt) ->
-            (* unresponsive after the grace period: record the
-               abandonment on its behalf and kill it *)
-            record (Journal.Abandoned { attempt }) job;
-            w.current <- None;
-            (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ())
-        | None -> ());
-        (try Unix.close w.to_w with Unix.Unix_error _ -> ());
-        (try Unix.close w.from_w with Unix.Unix_error _ -> ());
-        reap w.pid)
-      !workers;
-    workers := []
-  in
   let exit_code () =
     if !force then Supervisor.shutdown_exit_code
     else if List.exists (function _, Journal.Dead _ -> true | _ -> false) !states then
@@ -900,7 +754,7 @@ let serve cfg ~shard ~shards ~own_socket ls =
             (fun job -> if not (terminal job) then Admission.force admission ~id:job)
             backlog;
           for _ = 1 to max 1 cfg.service.Work.workers do
-            spawn ()
+            Pool.Fleet.spawn fleet
           done;
           log "listening on %s (%d jobs adopted)" cfg.socket_path (Admission.queued admission);
           let running = ref true in
@@ -908,12 +762,11 @@ let serve cfg ~shard ~shards ~own_socket ls =
             if !force then running := false
             else begin
               assign_idle ();
-              let workers_idle = List.for_all (fun w -> w.current = None) !workers in
               if
                 !drain
                 && Admission.queued admission = 0
                 && Admission.in_flight admission = 0
-                && workers_idle
+                && not (Pool.Fleet.busy fleet)
                 && relays_pending () = 0
               then running := false
               else begin
@@ -923,7 +776,7 @@ let serve cfg ~shard ~shards ~own_socket ls =
                   @ List.filter_map
                       (fun c -> if Conn.closing c then None else Some (Conn.fd c))
                       !conns
-                  @ List.map (fun w -> w.from_w) !workers
+                  @ Pool.Fleet.fds fleet
                   @ link_fds
                 in
                 let writes =
@@ -937,20 +790,17 @@ let serve cfg ~shard ~shards ~own_socket ls =
                     List.iter
                       (fun fd ->
                         if List.mem fd !listeners then accept_conn fd
-                        else
-                          match List.find_opt (fun w -> w.from_w = fd) !workers with
-                          | Some w -> worker_readable w
+                        else if not (Pool.Fleet.readable fleet fd) then
+                          match List.find_opt (fun c -> Conn.fd c = fd) !conns with
+                          | Some c -> conn_readable c
                           | None -> (
-                              match List.find_opt (fun c -> Conn.fd c = fd) !conns with
-                              | Some c -> conn_readable c
-                              | None -> (
-                                  match
-                                    Hashtbl.fold
-                                      (fun _ l acc -> if l.lfd = fd then Some l else acc)
-                                      links None
-                                  with
-                                  | Some l -> link_readable l
-                                  | None -> ())))
+                              match
+                                Hashtbl.fold
+                                  (fun _ l acc -> if l.lfd = fd then Some l else acc)
+                                  links None
+                              with
+                              | Some l -> link_readable l
+                              | None -> ()))
                       r;
                     List.iter
                       (fun fd ->
@@ -982,15 +832,17 @@ let serve cfg ~shard ~shards ~own_socket ls =
                 (* keep the worker complement up while there is work *)
                 if (not !drain) || Admission.queued admission > 0 then begin
                   let width = max 1 cfg.service.Work.workers in
-                  while List.length !workers < width do
-                    spawn ()
+                  while Pool.Fleet.size fleet < width do
+                    Pool.Fleet.spawn fleet
                   done
                 end
               end
             end
           done;
           log "%s" (if !force then "forced shutdown" else "drained; shutting down");
-          finish_workers ();
+          (* a forced shutdown abandons in-flight attempts; a drain has
+             none left and only asks the workers to quit *)
+          Pool.Fleet.teardown fleet ~term:!force ~grace:30.0;
           (* answer anything still waiting: terminal jobs truthfully, the
              rest (forced shutdown) with a shutdown error so the client
              knows to resubmit or re-wait against the next daemon *)

@@ -13,10 +13,12 @@
 
     Concurrency is a single-threaded [select] loop over the listeners,
     the client connections, and the pipes of forked workers — the
-    workers run {!Rtt_service.Pool.worker_loop} and speak the pool's
-    wire protocol verbatim; the daemon process is the sole journal
-    writer, so exactly-once and claim-replay are inherited from the
-    pool's discipline, not re-implemented.
+    workers are {!Rtt_service.Pool.Fleet} workers, the same ones
+    [rtt serve --workers N] runs, and their attempts are settled by the
+    pool's one retry rule ({!Rtt_service.Pool.settle}); the daemon
+    process is the sole journal writer, so exactly-once and
+    claim-replay are inherited from the pool's discipline, not
+    re-implemented.
 
     Admission is bounded ({!Admission}): a submission past capacity is
     answered [shed <retry-after-ms>], never queued unboundedly and

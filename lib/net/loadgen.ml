@@ -114,6 +114,16 @@ let connect_gconn endpoint =
 
 let now () = Unix.gettimeofday ()
 
+(* an arrival that falls due while the loop idles in select would go
+   out late, and that lateness would be charged to the daemon: the wait
+   ends at the next arrival (or the end of sending), capped so replies
+   and the grace cutoff are still polled *)
+let max_wait = 0.05
+
+let select_timeout ~now ~next_due ~stop =
+  if now >= stop then max_wait
+  else Float.max 0. (Float.min max_wait (Float.min next_due stop -. now))
+
 let run (cfg : config) =
   if cfg.clients <= 0 then Error "clients must be positive"
   else if Array.length cfg.bodies = 0 then Error "no instance bodies to submit"
@@ -206,19 +216,19 @@ let run (cfg : config) =
            connections — the schedule does not slow down because the
            daemon is slow; that is the point *)
         let scheduled = ref 0 in
+        let next_due () =
+          if cfg.rate > 0. then t0 +. (float_of_int !scheduled /. cfg.rate) else infinity
+        in
         let rr = ref 0 in
         let pump t =
           if t < stop_sending_at then begin
-            if cfg.rate > 0. then begin
-              let due = int_of_float ((t -. t0) *. cfg.rate) in
-              while !scheduled < due do
-                let due_at = t0 +. (float_of_int !scheduled /. cfg.rate) in
+            if cfg.rate > 0. then
+              while next_due () <= t do
                 let i = !rr mod Array.length conns in
                 incr rr;
-                if not closed.(i) then enqueue_submit conns.(i) due_at;
+                if not closed.(i) then enqueue_submit conns.(i) (next_due ());
                 incr scheduled
               done
-            end
             else
               (* saturation: keep every connection topped up to depth *)
               Array.iteri
@@ -251,7 +261,10 @@ let run (cfg : config) =
             let writes =
               List.filter_map (fun i -> if conns.(i).out <> "" then Some conns.(i).fd else None) idx
             in
-            (match Unix.select reads writes [] 0.05 with
+            let timeout =
+              select_timeout ~now:(now ()) ~next_due:(next_due ()) ~stop:stop_sending_at
+            in
+            (match Unix.select reads writes [] timeout with
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
             | r, w, _ ->
                 let t = now () in

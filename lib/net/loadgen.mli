@@ -52,6 +52,12 @@ val run : config -> (report, string) result
     errors). [Error] only on setup failure (connect refused, empty
     body set). *)
 
+val select_timeout : now:float -> next_due:float -> stop:float -> float
+(** How long the generator's [select] may wait at [now]: until the
+    next scheduled arrival [next_due] ([infinity] in saturation mode)
+    or the end of sending [stop], whichever is first, capped at 50 ms
+    (the cap alone once sending has stopped), never negative. *)
+
 val to_json : report -> string
 (** One-line JSON ([rtt-loadgen/1] schema) — what
     [scripts/loadgen_gate.sh] parses and [BENCH_LOADGEN.json]

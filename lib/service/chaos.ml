@@ -261,7 +261,7 @@ let alive pid =
   | _ -> false
   | exception Unix.Unix_error (Unix.ECHILD, _, _) -> false
 
-let reap pid =
+let kill_now pid =
   (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
   try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
 
@@ -270,7 +270,7 @@ let stop_gently pid =
   let deadline = Unix.gettimeofday () +. 10.0 in
   let rec go () =
     if not (alive pid) then ()
-    else if Unix.gettimeofday () > deadline then reap pid
+    else if Unix.gettimeofday () > deadline then kill_now pid
     else begin
       ignore (Unix.select [] [] [] 0.02);
       go ()

@@ -120,6 +120,19 @@ let apply states { job; event } =
 
 let fold records = List.fold_left apply [] records
 
+(* a Running status seen by a fresh owner is a crashed attempt: same
+   recovery as a graceful abandon — the attempt is consumed and the
+   job resumes from its checkpoint *)
+let next_attempt = function
+  | Some (Completed _ | Dead _) -> None
+  | Some (Pending { attempts }) -> Some (attempts + 1)
+  | Some (Running { attempt } | Interrupted { attempt }) -> Some (attempt + 1)
+  | None -> Some 1
+
+let retries_exhausted ~max_attempts =
+  Failed
+    { attempt = max_attempts; error_class = "retries-exhausted"; transient = false; backoff = 0 }
+
 let status_name = function
   | Pending _ -> "pending"
   | Running _ -> "running"

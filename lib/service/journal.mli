@@ -103,6 +103,18 @@ val apply : (string * status) list -> record -> (string * status) list
 val fold : record list -> (string * status) list
 (** [List.fold_left apply []]. *)
 
+val next_attempt : status option -> int option
+(** The attempt a job runs next, judged from its status ([None]: not
+    yet journaled): [None] once it is [Completed] or [Dead]. A
+    [Running] status seen by a fresh owner is a crashed attempt and
+    recovers like an [Interrupted] one — the attempt is consumed and
+    the job resumes from its checkpoint. Callers compare the result
+    with [max_attempts] and journal {!retries_exhausted} past it. *)
+
+val retries_exhausted : max_attempts:int -> event
+(** The permanent [Failed] that ends a job whose next attempt would
+    exceed [max_attempts] (error class [retries-exhausted]). *)
+
 val status_name : status -> string
 val pp_status : Format.formatter -> status -> unit
 

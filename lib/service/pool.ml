@@ -3,11 +3,8 @@ open Rtt_engine
 (* ------------------------------------------------------------------ *)
 (* wire protocol: one {!Frame}d line per message. Pipes do not corrupt
    bytes, but the CRC turns any protocol bug into an ignorable line
-   instead of a silently misparsed result. The payload grammar below
-   (assignments down, reports up) is shared with the network daemon,
-   whose workers speak the same protocol over the same kind of pipe. *)
-
-let send = Frame.write
+   instead of a silently misparsed result. The payload grammar below:
+   assignments down, reports up. *)
 
 let assignment ~job ~attempt = Printf.sprintf "solve %s %d" (Journal.encode_job job) attempt
 let quit_payload = "quit"
@@ -43,6 +40,38 @@ let parse_report payload =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
+(* one attempt, settled                                                *)
+
+let run_attempt cfg ~stop ~log ~job ~attempt =
+  match Work.attempt cfg ~stop ~log ~job ~attempt with
+  | Work.Solved (s, cached) ->
+      Solved
+        {
+          attempt;
+          makespan = s.Engine.makespan;
+          budget_used = s.Engine.budget_used;
+          fuel = s.Engine.fuel_spent;
+          cached;
+        }
+  | Work.Failed { error_class; transient; backoff } ->
+      Failed { attempt; error_class; transient; backoff }
+  | exception Work.Interrupted -> Abandoned { attempt }
+
+type next = Finished | Retry of int | Replay
+
+let settle ~max_attempts ~attempt = function
+  | Some (Solved { makespan; budget_used; fuel; cached; _ }) ->
+      (Some (Journal.Done { attempt; makespan; budget_used; fuel; cached }), Finished)
+  | Some (Failed { error_class; transient = true; backoff; _ }) when attempt < max_attempts ->
+      (Some (Journal.Failed { attempt; error_class; transient = true; backoff }), Retry backoff)
+  | Some (Failed { error_class; _ }) ->
+      (Some (Journal.Failed { attempt; error_class; transient = false; backoff = 0 }), Finished)
+  | Some (Abandoned _) -> (Some (Journal.Abandoned { attempt }), Replay)
+  (* a worker that died without reporting leaves its claim unrecorded:
+     the attempt is consumed, exactly like a whole-process crash *)
+  | None -> (None, Replay)
+
+(* ------------------------------------------------------------------ *)
 (* worker side                                                         *)
 
 (* Blocking byte-at-a-time line read; assignments are a few dozen bytes
@@ -66,8 +95,9 @@ let read_assignment ~stop fd =
   in
   go ()
 
+
 (* The worker body run in the forked child: read one assignment, run
-   the shared Work.attempt, report the outcome, repeat. Exits with
+   the shared attempt, report the outcome, repeat. Exits with
    [Unix._exit] so the child never unwinds into the parent's at_exit
    handlers or flushes duplicated stdio buffers. *)
 let worker_loop (cfg : Work.config) ~from_parent ~to_parent : 'a =
@@ -79,7 +109,7 @@ let worker_loop (cfg : Work.config) ~from_parent ~to_parent : 'a =
     if cfg.Work.verbose then Printf.eprintf "[worker %d] %s\n%!" (Unix.getpid ()) s
   in
   let reply payload =
-    try send to_parent payload with Unix.Unix_error _ -> stop := true
+    try Frame.write to_parent payload with Unix.Unix_error _ -> stop := true
   in
   let rec loop () =
     if !stop then Unix._exit 0;
@@ -91,23 +121,9 @@ let worker_loop (cfg : Work.config) ~from_parent ~to_parent : 'a =
         | Some [ "solve"; j; a ] -> (
             match (Journal.decode_job j, int_of_string_opt a) with
             | Some job, Some attempt -> (
-                match Work.attempt cfg ~stop:(fun () -> !stop) ~log ~job ~attempt with
-                | Work.Solved (s, cached) ->
-                    reply
-                      (report_payload
-                         (Solved
-                            {
-                              attempt;
-                              makespan = s.Engine.makespan;
-                              budget_used = s.Engine.budget_used;
-                              fuel = s.Engine.fuel_spent;
-                              cached;
-                            }))
-                | Work.Failed { error_class; transient; backoff } ->
-                    reply (report_payload (Failed { attempt; error_class; transient; backoff }))
-                | exception Work.Interrupted ->
-                    reply (report_payload (Abandoned { attempt }));
-                    Unix._exit 0)
+                let r = run_attempt cfg ~stop:(fun () -> !stop) ~log ~job ~attempt in
+                reply (report_payload r);
+                match r with Abandoned _ -> Unix._exit 0 | Solved _ | Failed _ -> ())
             | _ -> log "undecodable assignment ignored")
         | Some _ | None -> log "undecodable assignment ignored");
         loop ()
@@ -115,15 +131,10 @@ let worker_loop (cfg : Work.config) ~from_parent ~to_parent : 'a =
   loop ()
 
 (* ------------------------------------------------------------------ *)
-(* parent side                                                         *)
+(* parent side: the fleet                                              *)
 
-type worker = {
-  pid : int;
-  to_w : Unix.file_descr;
-  from_w : Unix.file_descr;
-  mutable acc : string;  (* partial line read from the worker *)
-  mutable current : (string * int) option;  (* claimed (job, attempt) *)
-}
+let now () = Unix.gettimeofday ()
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let reap pid =
   let rec go () =
@@ -134,15 +145,34 @@ let reap pid =
   in
   go ()
 
-let now () = Unix.gettimeofday ()
+module Fleet = struct
+  type worker = {
+    pid : int;
+    to_w : Unix.file_descr;
+    from_w : Unix.file_descr;
+    reader : Frame.reader;
+    mutable current : (string * int) option;  (* claimed (job, attempt) *)
+  }
 
-let drain (cfg : Work.config) ~(record : Journal.event -> string -> unit)
-    ~(jobs : (string * int) list) ~(stop : bool ref) ~(log : string -> unit) =
-  let pending = ref jobs in
-  let deferred = ref ([] : (float * string * int) list) in
-  let workers = ref ([] : worker list) in
-  let saved_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  let spawn () =
+  type t = {
+    cfg : Work.config;
+    journal_fd : Unix.file_descr;
+    child : unit -> unit;
+    record : Journal.event -> string -> unit;
+    settled : job:string -> attempt:int -> next -> unit;
+    log : string -> unit;
+    mutable workers : worker list;  (* spawn order *)
+  }
+
+  let create ?(child = ignore) cfg ~journal ~record ~settled ~log =
+    { cfg; journal_fd = Journal.fd journal; child; record; settled; log; workers = [] }
+
+  let size f = List.length f.workers
+  let busy f = List.exists (fun w -> w.current <> None) f.workers
+  let has_idle f = List.exists (fun w -> w.current = None) f.workers
+  let fds f = List.map (fun w -> w.from_w) f.workers
+
+  let spawn f =
     let ar, aw = Unix.pipe () (* parent -> worker *) in
     let br, bw = Unix.pipe () (* worker -> parent *) in
     match Unix.fork () with
@@ -151,18 +181,120 @@ let drain (cfg : Work.config) ~(record : Journal.event -> string -> unit)
         Unix.close br;
         List.iter
           (fun w ->
-            Unix.close w.to_w;
-            Unix.close w.from_w)
-          !workers;
-        worker_loop cfg ~from_parent:ar ~to_parent:bw
+            close_quietly w.to_w;
+            close_quietly w.from_w)
+          f.workers;
+        (* only the parent writes the journal *)
+        close_quietly f.journal_fd;
+        (* the parent's LP counters (warm-start stats, pivot counts) are
+           inherited across fork; zero them so the worker's figures are
+           its own *)
+        Rtt_lp.Simplex.reset_stats ();
+        f.child ();
+        worker_loop f.cfg ~from_parent:ar ~to_parent:bw
     | pid ->
         Unix.close ar;
         Unix.close bw;
-        let w = { pid; to_w = aw; from_w = br; acc = ""; current = None } in
-        workers := !workers @ [ w ];
-        log (Printf.sprintf "spawned worker %d" pid);
-        w
-  in
+        f.workers <-
+          f.workers @ [ { pid; to_w = aw; from_w = br; reader = Frame.reader (); current = None } ];
+        f.log (Printf.sprintf "spawned worker %d" pid)
+
+  (* the one place a claim ends: journal the settle rule's event, then
+     hand the next step to the client *)
+  let settle_claim f w report =
+    match w.current with
+    | None -> ()
+    | Some (job, attempt) ->
+        w.current <- None;
+        let event, next = settle ~max_attempts:f.cfg.Work.max_attempts ~attempt report in
+        Option.iter (fun e -> f.record e job) event;
+        f.settled ~job ~attempt next
+
+  let death f w =
+    close_quietly w.to_w;
+    close_quietly w.from_w;
+    reap w.pid;
+    f.workers <- List.filter (fun x -> x.pid <> w.pid) f.workers;
+    Option.iter
+      (fun (job, attempt) ->
+        f.log (Printf.sprintf "worker %d died holding %s (attempt %d)" w.pid job attempt))
+      w.current;
+    settle_claim f w None
+
+  let on_report f w payload =
+    let attempt_of = function
+      | Solved { attempt; _ } | Failed { attempt; _ } | Abandoned { attempt } -> attempt
+    in
+    match (w.current, parse_report payload) with
+    | Some (_, attempt), Some r when attempt_of r = attempt -> settle_claim f w (Some r)
+    | _ -> f.log (Printf.sprintf "unexpected message %S from worker %d ignored" payload w.pid)
+
+  let readable f fd =
+    match List.find_opt (fun w -> w.from_w = fd) f.workers with
+    | None -> false
+    | Some w ->
+        (* {!Eintr.read}: select already reported the fd readable, so a
+           restart never blocks and a signal can't tear the report frame *)
+        let buf = Bytes.create 4096 in
+        (match Eintr.read w.from_w buf 0 4096 with
+        | 0 -> death f w
+        | n ->
+            List.iter
+              (function
+                | `Frame payload -> on_report f w payload
+                | `Corrupt line ->
+                    f.log (Printf.sprintf "unframed line from worker %d ignored: %S" w.pid line)
+                | `Overflow -> death f w)
+              (Frame.feed w.reader (Bytes.sub_string buf 0 n)));
+        true
+
+  let wait f timeout =
+    let r, _, _ = Eintr.select (fds f) [] [] timeout in
+    List.iter (fun fd -> ignore (readable f fd)) r
+
+  let assign f ~job ~attempt =
+    match List.find_opt (fun w -> w.current = None) f.workers with
+    | None -> invalid_arg "Pool.Fleet.assign: no idle worker"
+    | Some w -> (
+        w.current <- Some (job, attempt);
+        f.record (Journal.Started { attempt }) job;
+        f.log (Printf.sprintf "assign %s (attempt %d) to worker %d" job attempt w.pid);
+        try Frame.write w.to_w (assignment ~job ~attempt) with Unix.Unix_error _ -> death f w)
+
+  let teardown f ~term ~grace =
+    List.iter
+      (fun w ->
+        if term && w.current <> None then
+          try Unix.kill w.pid Sys.sigterm with Unix.Unix_error _ -> ()
+        else try Frame.write w.to_w quit_payload with Unix.Unix_error _ -> ())
+      f.workers;
+    let deadline = now () +. grace in
+    while busy f && now () < deadline do
+      wait f 0.1
+    done;
+    List.iter
+      (fun w ->
+        (match w.current with
+        | Some (_, attempt) ->
+            (* unresponsive after the grace period: record the
+               abandonment on its behalf and kill it *)
+            (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
+            settle_claim f w (Some (Abandoned { attempt }))
+        | None -> ());
+        close_quietly w.to_w;
+        close_quietly w.from_w;
+        reap w.pid)
+      f.workers;
+    f.workers <- []
+end
+
+(* ------------------------------------------------------------------ *)
+(* the pooled spool drain                                              *)
+
+let drain (cfg : Work.config) ~journal ~(record : Journal.event -> string -> unit)
+    ~(jobs : (string * int) list) ~(stop : bool ref) ~(log : string -> unit) =
+  let pending = ref jobs in
+  let deferred = ref ([] : (float * string * int) list) in
   (* duplicate-instance coalescing: when the cache is on, two jobs with
      the same digest are never in flight together — the second waits
      and is then served from the entry the first published. *)
@@ -183,181 +315,59 @@ let drain (cfg : Work.config) ~(record : Journal.event -> string -> unit)
             d)
   in
   let inflight_digests : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-  let release w =
-    (match w.current with
-    | Some (job, _) -> (
-        match digest_of job with Some d -> Hashtbl.remove inflight_digests d | None -> ())
-    | None -> ());
-    w.current <- None
-  in
   let requeue job next_attempt =
     if next_attempt > cfg.Work.max_attempts then
-      record
-        (Journal.Failed
-           {
-             attempt = cfg.Work.max_attempts;
-             error_class = "retries-exhausted";
-             transient = false;
-             backoff = 0;
-           })
-        job
+      record (Journal.retries_exhausted ~max_attempts:cfg.Work.max_attempts) job
     else pending := !pending @ [ (job, next_attempt) ]
   in
-  (* a worker died without reporting: its claim is replayed — the
-     attempt is consumed, exactly like a whole-process crash in the
-     sequential path, and the job is retried from its checkpoint *)
-  let handle_death w =
-    Unix.close w.to_w;
-    Unix.close w.from_w;
-    reap w.pid;
-    workers := List.filter (fun x -> x.pid <> w.pid) !workers;
-    match w.current with
-    | None -> ()
-    | Some (job, attempt) ->
-        log (Printf.sprintf "worker %d died holding %s (attempt %d)" w.pid job attempt);
-        release w;
-        if not !stop then requeue job (attempt + 1)
+  let settled ~job ~attempt next =
+    Option.iter (Hashtbl.remove inflight_digests) (digest_of job);
+    match next with
+    | Finished -> ()
+    | Retry backoff when cfg.Work.sleep ->
+        deferred := !deferred @ [ (now () +. (float_of_int backoff /. 1000.), job, attempt + 1) ]
+    | Retry _ -> requeue job (attempt + 1)
+    (* an externally signalled or killed worker: unless the pool itself
+       is shutting down the claim is replayed from its checkpoint *)
+    | Replay -> if not !stop then requeue job (attempt + 1)
   in
-  let handle_message w payload =
-    match (w.current, parse_report payload) with
-    | Some (job, attempt), Some (Solved r) when r.attempt = attempt ->
-        record
-          (Journal.Done
-             {
-               attempt;
-               makespan = r.makespan;
-               budget_used = r.budget_used;
-               fuel = r.fuel;
-               cached = r.cached;
-             })
-          job;
-        release w
-    | Some (job, attempt), Some (Failed { error_class; transient; backoff; attempt = a })
-      when a = attempt ->
-        if transient && attempt < cfg.Work.max_attempts then begin
-          record (Journal.Failed { attempt; error_class; transient = true; backoff }) job;
-          if cfg.Work.sleep then
-            deferred :=
-              !deferred @ [ (now () +. (float_of_int backoff /. 1000.), job, attempt + 1) ]
-          else pending := !pending @ [ (job, attempt + 1) ]
-        end
-        else
-          record (Journal.Failed { attempt; error_class; transient = false; backoff = 0 }) job;
-        release w
-    | Some (job, attempt), Some (Abandoned { attempt = a }) when a = attempt ->
-        record (Journal.Abandoned { attempt }) job;
-        release w;
-        (* an externally signalled worker abandons and exits; if the
-           pool itself is not shutting down the claim is replayed *)
-        if not !stop then requeue job (attempt + 1)
-    | _, _ -> log (Printf.sprintf "unexpected message %S from worker %d ignored" payload w.pid)
-  in
-  let handle_readable w =
-    (* {!Eintr.read}: select already reported the fd readable, so a
-       restart never blocks and a signal can't tear the report frame *)
-    let chunk = Bytes.create 4096 in
-    match Eintr.read w.from_w chunk 0 4096 with
-    | 0 -> handle_death w
-    | n ->
-        w.acc <- w.acc ^ Bytes.sub_string chunk 0 n;
-        let rec split () =
-          match String.index_opt w.acc '\n' with
-          | None -> ()
-          | Some i ->
-              let line = String.sub w.acc 0 i in
-              w.acc <- String.sub w.acc (i + 1) (String.length w.acc - i - 1);
-              (match Frame.unframe line with
-              | Some payload -> handle_message w payload
-              | None -> log (Printf.sprintf "unframed line from worker %d ignored" w.pid));
-              split ()
-        in
-        split ()
-  in
+  let fleet = Fleet.create cfg ~journal ~record ~settled ~log in
   let promote_deferred () =
     let t = now () in
     let ready, still = List.partition (fun (at, _, _) -> at <= t) !deferred in
     deferred := still;
     List.iter (fun (_, job, attempt) -> pending := !pending @ [ (job, attempt) ]) ready
   in
-  let assign () =
-    let idle = List.filter (fun w -> w.current = None) !workers in
-    List.iter
-      (fun w ->
-        if not !stop then begin
-          let assignable (job, _) =
-            match digest_of job with
-            | None -> true
-            | Some d -> not (Hashtbl.mem inflight_digests d)
-          in
-          match List.find_opt assignable !pending with
-          | None -> ()
-          | Some ((job, attempt) as pick) ->
-              pending := List.filter (fun x -> x != pick) !pending;
-              (match digest_of job with
-              | Some d -> Hashtbl.replace inflight_digests d ()
-              | None -> ());
-              w.current <- Some (job, attempt);
-              record (Journal.Started { attempt }) job;
-              log (Printf.sprintf "assign %s (attempt %d) to worker %d" job attempt w.pid);
-              (try send w.to_w (assignment ~job ~attempt)
-               with Unix.Unix_error _ -> handle_death w)
-        end)
-      idle
+  let assignable (job, _) =
+    match digest_of job with None -> true | Some d -> not (Hashtbl.mem inflight_digests d)
   in
-  let busy () = List.exists (fun w -> w.current <> None) !workers in
-  let select_step timeout =
-    let fds = List.map (fun w -> w.from_w) !workers in
-    let readable, _, _ = Eintr.select fds [] [] timeout in
-    List.iter
-      (fun fd ->
-        match List.find_opt (fun w -> w.from_w = fd) !workers with
-        | Some w -> handle_readable w
-        | None -> ())
-      readable
+  let rec assign () =
+    if (not !stop) && Fleet.has_idle fleet then
+      match List.find_opt assignable !pending with
+      | None -> ()
+      | Some ((job, attempt) as pick) ->
+          pending := List.filter (fun x -> x != pick) !pending;
+          Option.iter (fun d -> Hashtbl.replace inflight_digests d ()) (digest_of job);
+          Fleet.assign fleet ~job ~attempt;
+          assign ()
   in
+  let saved_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   Fun.protect
     ~finally:(fun () ->
-      ignore (Sys.signal Sys.sigpipe saved_pipe);
-      (* graceful teardown of whatever is left: in-flight workers are
-         asked to abandon (they checkpoint first), then everything is
-         closed and reaped *)
-      if busy () then begin
-        List.iter
-          (fun w -> if w.current <> None then try Unix.kill w.pid Sys.sigterm with Unix.Unix_error _ -> ())
-          !workers;
-        let deadline = now () +. 60.0 in
-        while busy () && now () < deadline do
-          select_step 0.1
-        done;
-        List.iter
-          (fun w ->
-            match w.current with
-            | Some (_, attempt) when !stop ->
-                (* unresponsive after the grace period: record the
-                   abandonment on its behalf and kill it *)
-                record (Journal.Abandoned { attempt }) (fst (Option.get w.current));
-                release w;
-                (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ())
-            | _ -> ())
-          !workers
-      end;
-      List.iter
-        (fun w ->
-          (try Unix.close w.to_w with Unix.Unix_error _ -> ());
-          (try Unix.close w.from_w with Unix.Unix_error _ -> ());
-          reap w.pid)
-        !workers;
-      workers := [])
+      (* in-flight workers are asked to abandon (they checkpoint
+         first); idle ones to quit *)
+      Fleet.teardown fleet ~term:true ~grace:60.0;
+      ignore (Sys.signal Sys.sigpipe saved_pipe))
     (fun () ->
       let width = max 1 (min cfg.Work.workers (List.length jobs)) in
       for _ = 1 to width do
-        ignore (spawn ())
+        Fleet.spawn fleet
       done;
-      while (not !stop) && (!pending <> [] || !deferred <> [] || busy ()) do
+      while (not !stop) && (!pending <> [] || !deferred <> [] || Fleet.busy fleet) do
         promote_deferred ();
         assign ();
-        if !workers = [] && (!pending <> [] || !deferred <> []) then ignore (spawn ())
-        else begin
+        if Fleet.size fleet = 0 && (!pending <> [] || !deferred <> []) then Fleet.spawn fleet
+        else if Fleet.size fleet > 0 then begin
           let timeout =
             match !deferred with
             | [] -> 0.2
@@ -365,12 +375,12 @@ let drain (cfg : Work.config) ~(record : Journal.event -> string -> unit)
                 let soonest = List.fold_left (fun acc (at, _, _) -> min acc at) infinity ds in
                 max 0.01 (min 0.2 (soonest -. now ()))
           in
-          if !workers <> [] then select_step timeout
+          Fleet.wait fleet timeout
         end;
         (* replace crashed workers while there is still work to hand out *)
         if
           (not !stop)
-          && List.length !workers < width
+          && Fleet.size fleet < width
           && List.length !pending + List.length !deferred > 0
-        then ignore (spawn ())
+        then Fleet.spawn fleet
       done)

@@ -66,25 +66,14 @@ let run ?(notify = fun _ -> ()) cfg =
       (* admit new spool files *)
       let jobs = jobs_in ~spool in
       List.iter (fun job -> if not (List.mem_assoc job !states) then record Journal.Queued job) jobs;
-      (* each job's next attempt number, per the journal: completed and
-         dead jobs are done; a Running state at startup is a crashed
-         attempt (the process died holding the job) with the same
-         recovery as a graceful abandon — the attempt is consumed,
-         resume from the checkpoint *)
-      let next_attempt job =
-        match List.assoc_opt job !states with
-        | Some (Journal.Completed _) | Some (Journal.Dead _) -> None
-        | Some (Journal.Pending { attempts }) -> Some (attempts + 1)
-        | Some (Journal.Running { attempt }) | Some (Journal.Interrupted { attempt }) ->
-            Some (attempt + 1)
-        | None -> Some 1
-      in
-      let exhausted job =
-        record
-          (Journal.Failed
-             { attempt = cfg.max_attempts; error_class = "retries-exhausted"; transient = false;
-               backoff = 0 })
-          job
+      (* each job's next attempt, per the journal; one past the last
+         allowed attempt ends the job instead *)
+      let claim job =
+        match Journal.next_attempt (List.assoc_opt job !states) with
+        | Some attempt when attempt > cfg.max_attempts ->
+            record (Journal.retries_exhausted ~max_attempts:cfg.max_attempts) job;
+            None
+        | next -> next
       in
       let exit_code () =
         if !stop then shutdown_exit_code
@@ -94,68 +83,36 @@ let run ?(notify = fun _ -> ()) cfg =
       in
       if cfg.workers > 1 then begin
         let worklist =
-          List.filter_map
-            (fun job ->
-              match next_attempt job with
-              | None -> None
-              | Some attempt when attempt > cfg.max_attempts ->
-                  exhausted job;
-                  None
-              | Some attempt -> Some (job, attempt))
-            jobs
+          List.filter_map (fun job -> Option.map (fun a -> (job, a)) (claim job)) jobs
         in
-        Pool.drain cfg ~record ~jobs:worklist ~stop ~log:(fun s -> log "%s" s);
+        Pool.drain cfg ~journal ~record ~jobs:worklist ~stop ~log:(fun s -> log "%s" s);
         exit_code ()
       end
       else begin
-        (* one attempt; returns [`Done | `Dead | `Retry of int] *)
-        let attempt_once job ~attempt =
+        (* in process: the pool's attempt and settle rule, no fork *)
+        let rec drive job ~attempt =
           record (Journal.Started { attempt }) job;
-          match
-            Work.attempt cfg ~stop:(fun () -> !stop) ~log:(fun s -> log "%s" s) ~job ~attempt
-          with
-          | exception Work.Interrupted ->
-              record (Journal.Abandoned { attempt }) job;
+          let report =
+            Pool.run_attempt cfg ~stop:(fun () -> !stop) ~log:(fun s -> log "%s" s) ~job ~attempt
+          in
+          let event, next = Pool.settle ~max_attempts:cfg.max_attempts ~attempt (Some report) in
+          Option.iter (fun e -> record e job) event;
+          match next with
+          | Pool.Finished -> ()
+          | Pool.Retry backoff ->
+              if cfg.sleep then Unix.sleepf (float_of_int backoff /. 1000.);
+              if !stop then raise Shutdown;
+              drive job ~attempt:(attempt + 1)
+          | Pool.Replay ->
+              (* only a shutdown abandons an in-process attempt *)
               log "%s attempt %d: abandoned on shutdown (checkpoint kept)" job attempt;
               raise Shutdown
-          | Work.Solved (s, cached) ->
-              record
-                (Journal.Done
-                   {
-                     attempt;
-                     makespan = s.Rtt_engine.Engine.makespan;
-                     budget_used = s.Rtt_engine.Engine.budget_used;
-                     fuel = s.Rtt_engine.Engine.fuel_spent;
-                     cached;
-                   })
-                job;
-              `Done
-          | Work.Failed { error_class; transient; backoff } ->
-              if transient && attempt < cfg.max_attempts then begin
-                record (Journal.Failed { attempt; error_class; transient = true; backoff }) job;
-                `Retry backoff
-              end
-              else begin
-                record (Journal.Failed { attempt; error_class; transient = false; backoff = 0 }) job;
-                `Dead
-              end
-        in
-        let rec drive job ~attempt =
-          if !stop then raise Shutdown;
-          if attempt > cfg.max_attempts then exhausted job
-          else
-            match attempt_once job ~attempt with
-            | `Done | `Dead -> ()
-            | `Retry backoff ->
-                if cfg.sleep then Unix.sleepf (float_of_int backoff /. 1000.);
-                drive job ~attempt:(attempt + 1)
         in
         match
           List.iter
             (fun job ->
-              match next_attempt job with
-              | None -> ()
-              | Some attempt -> drive job ~attempt)
+              if !stop then raise Shutdown;
+              Option.iter (fun attempt -> drive job ~attempt) (claim job))
             jobs
         with
         | () -> exit_code ()

@@ -4,8 +4,10 @@
    the process-level acceptance scenarios against the real rtt binary:
    a submit --wait whose result is byte-identical to a local solve,
    duplicate coalescing, shed under a full queue, SIGKILL crash safety
-   (no accepted job lost, no unaccepted job journaled), and SIGTERM
-   drain that still answers in-flight waiters. *)
+   (no accepted job lost, no unaccepted job journaled), SIGTERM
+   drain that still answers in-flight waiters, and a SIGKILLed worker
+   whose claim is replayed. The loadgen pacing rule is unit-tested as a
+   pure function. *)
 
 open Rtt_net
 
@@ -486,6 +488,51 @@ let outcomes_of spool =
          | _ -> None)
   |> List.sort compare
 
+(* direct children of [pid], via the Linux children file *)
+let children_of pid =
+  let path = Printf.sprintf "/proc/%d/task/%d/children" pid pid in
+  match open_in path with
+  | exception Sys_error _ -> []
+  | ic ->
+      let line = try input_line ic with End_of_file -> "" in
+      close_in ic;
+      List.filter_map int_of_string_opt (String.split_on_char ' ' (String.trim line))
+
+(* slow to solve cold (many incomparable allocations), so a worker can
+   be caught mid-solve after its first checkpoint; collapses under the
+   checkpoint's warm start *)
+let wide_flat ~n ~opts =
+  let open Rtt_dag in
+  let g = Dag.create () in
+  let s = Dag.add_vertex ~label:"s" g in
+  let t = Dag.add_vertex ~label:"t" g in
+  let vs = List.init n (fun _ -> Dag.add_vertex g) in
+  List.iter
+    (fun v ->
+      Dag.add_edge g s v;
+      Dag.add_edge g v t)
+    vs;
+  Rtt_core.Problem.make g ~durations:(fun v ->
+      if v = s || v = t then Rtt_duration.Duration.constant 0
+      else Rtt_duration.Duration.make (List.init opts (fun r -> (r, 10 - r))))
+
+let loadgen_units =
+  [
+    Alcotest.test_case "select waits for the next arrival, capped at 50 ms" `Quick (fun () ->
+        List.iter
+          (fun (name, now, next_due, stop, expected) ->
+            Alcotest.(check (float 1e-9)) name expected
+              (Loadgen.select_timeout ~now ~next_due ~stop))
+          [
+            ("next arrival sooner than the cap", 10.0, 10.01, 20.0, 0.01);
+            ("next arrival past the cap", 10.0, 11.0, 20.0, 0.05);
+            ("saturation mode has no arrivals", 10.0, infinity, 20.0, 0.05);
+            ("an overdue arrival: no wait", 10.0, 9.99, 20.0, 0.0);
+            ("sending stops before the next arrival", 10.0, 10.04, 10.02, 0.02);
+            ("after sending stops: the cap alone", 21.0, 21.01, 20.0, 0.05);
+          ]);
+  ]
+
 let process_units =
   [
     Alcotest.test_case "submit --wait is byte-identical to a local solve" `Slow (fun () ->
@@ -673,6 +720,85 @@ let process_units =
                accepting work it will never run — and after exit, the
                socket file is gone *)
             Alcotest.(check bool) "socket removed" false (Sys.file_exists socket)));
+    Alcotest.test_case "SIGKILL a worker mid-solve: claim replayed, done once, waiter answered"
+      `Slow (fun () ->
+        let open Rtt_service in
+        let spool = fresh_dir "wkill" in
+        let socket = Filename.concat spool "d.sock" in
+        let inst = Filename.concat spool "slow.txt" in
+        write_file inst (Rtt_core.Io.to_string (wide_flat ~n:10 ~opts:4));
+        (* in-process Daemon.run in a child, so the checkpoint interval
+           can be small enough to catch the worker mid-solve *)
+        let service =
+          { (Supervisor.default_config ~spool) with budget = 3; checkpoint_every = 50 }
+        in
+        let daemon =
+          match Unix.fork () with
+          | 0 ->
+              Unix._exit
+                (try Daemon.run { (Daemon.default_config ~spool ~socket_path:socket) with service }
+                 with _ -> 99)
+          | pid -> pid
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            kill_quietly daemon Sys.sigkill;
+            ignore (wait_exit daemon))
+          (fun () ->
+            if not (wait_for (fun () -> Sys.file_exists socket)) then
+              Alcotest.fail "daemon never created its socket";
+            let code, out = run_rtt [ "submit"; inst; "--socket"; socket ] in
+            Alcotest.(check int) "accepted" 0 code;
+            let job = String.trim out ^ Work.instance_suffix in
+            let answer = Filename.concat spool "waiter.out" in
+            let fd = Unix.openfile answer [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+            let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+            let waiter =
+              Unix.create_process rtt_exe
+                [| rtt_exe; "submit"; inst; "--socket"; socket; "--wait"; "--timeout"; "60" |]
+                Unix.stdin fd null
+            in
+            Unix.close fd;
+            Unix.close null;
+            if not (wait_for (fun () -> Sys.file_exists (Checkpoint.path ~spool ~job))) then
+              Alcotest.fail "no checkpoint appeared before timeout";
+            (match children_of daemon with
+            | [] -> Alcotest.fail "no worker children visible under /proc"
+            | workers -> List.iter (fun w -> kill_quietly w Sys.sigkill) workers);
+            (match wait_exit waiter with
+            | `Exited 0 -> ()
+            | `Exited c -> Alcotest.failf "waiter exited %d" c
+            | _ -> Alcotest.fail "waiter died");
+            let local_code, local_out = run_rtt [ "solve"; inst; "--fallback"; "-b"; "3" ] in
+            Alcotest.(check int) "local solve exit 0" 0 local_code;
+            (* the resumed attempt spends less fuel; the answer is the same *)
+            let answer_lines text =
+              List.filter
+                (fun l -> not (contains ~needle:"fuel:" l))
+                (String.split_on_char '\n' text)
+            in
+            Alcotest.(check (list string))
+              "the waiter got the answer" (answer_lines local_out)
+              (answer_lines (read_file answer));
+            let records = Journal.replay ~spool in
+            Alcotest.(check int) "done exactly once" 1
+              (List.length
+                 (List.filter
+                    (fun r ->
+                      r.Journal.job = job
+                      && match r.Journal.event with Journal.Done _ -> true | _ -> false)
+                    records));
+            (* the killed worker's claim was consumed: the job completed
+               on a later attempt, resumed from its checkpoint *)
+            (match List.assoc_opt job (Journal.fold records) with
+            | Some (Journal.Completed { attempt; _ }) when attempt >= 2 -> ()
+            | Some s -> Alcotest.failf "final state: %s" (Journal.status_name s)
+            | None -> Alcotest.fail "job missing from the journal");
+            kill_quietly daemon Sys.sigterm;
+            match wait_exit daemon with
+            | `Exited 0 -> ()
+            | `Exited c -> Alcotest.failf "drained daemon must exit 0, got %d" c
+            | _ -> Alcotest.fail "daemon killed by signal"));
     Alcotest.test_case "shards=4 journal outcomes equal shards=1, exactly-once per shard" `Slow
       (fun () ->
         let flat = fresh_dir "flat" in
@@ -864,5 +990,6 @@ let () =
       ("protocol-props", protocol_props);
       ("protocol", protocol_units);
       ("admission", admission_units);
+      ("loadgen", loadgen_units);
       ("process", process_units);
     ]

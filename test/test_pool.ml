@@ -64,6 +64,49 @@ let sorted_journal ~spool = List.sort compare (List.map Journal.encode (Journal.
 
 let base_config ~spool = { (Supervisor.default_config ~spool) with sleep = false; budget = 2 }
 
+let wait_exit pid =
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED c -> `Exited c
+  | _, Unix.WSIGNALED s -> `Signaled s
+  | _, Unix.WSTOPPED _ -> `Stopped
+
+let wait_for ?(timeout = 60.0) pred =
+  let t0 = Unix.gettimeofday () in
+  let rec go () =
+    if pred () then true
+    else if Unix.gettimeofday () -. t0 > timeout then false
+    else begin
+      ignore (Unix.select [] [] [] 0.005);
+      go ()
+    end
+  in
+  go ()
+
+(* drain a spool through [rtt daemon]'s serve loop in a forked child:
+   the spool's jobs are adopted at startup, and once every one of them
+   is terminal a SIGTERM drains the daemon; returns its exit code *)
+let daemon_drain (service : Work.config) ~jobs =
+  let spool = service.Work.spool in
+  let socket_path = Filename.concat spool "d.sock" in
+  let cfg = { (Rtt_net.Daemon.default_config ~spool ~socket_path) with service } in
+  match Unix.fork () with
+  | 0 -> Unix._exit (try Rtt_net.Daemon.run cfg with _ -> 99)
+  | pid ->
+      let terminal () =
+        let states = Journal.fold (Journal.replay ~spool) in
+        List.for_all
+          (fun job ->
+            match List.assoc_opt job states with
+            | Some (Journal.Completed _ | Journal.Dead _) -> true
+            | _ -> false)
+          jobs
+      in
+      let drained = wait_for terminal in
+      Unix.kill pid Sys.sigterm;
+      let code = wait_exit pid in
+      if not drained then Alcotest.fail "daemon never settled every job";
+      (match code with `Exited c -> c | _ -> Alcotest.fail "daemon died instead of draining")
+
 (* ------------------------------------------------------------------ *)
 (* in-process: pooled drain vs sequential drain                        *)
 
@@ -72,6 +115,78 @@ let fill_distinct spool n =
       let name = Printf.sprintf "job_%02d.rtt" i in
       write_job ~spool name (cheap_instance (500 + i));
       name)
+
+let settle_units =
+  [
+    Alcotest.test_case "settle: one rule for every report kind and for worker death" `Quick
+      (fun () ->
+        let show (event, next) =
+          ( Option.map (fun event -> Journal.encode { Journal.job = "j.rtt"; event }) event,
+            match next with
+            | Pool.Finished -> "finished"
+            | Pool.Retry b -> Printf.sprintf "retry %d" b
+            | Pool.Replay -> "replay" )
+        in
+        let done_ =
+          Journal.Done { attempt = 2; makespan = 7; budget_used = 3; fuel = 40; cached = false }
+        in
+        let failed attempt error_class transient backoff =
+          Journal.Failed { attempt; error_class; transient; backoff }
+        in
+        let solved =
+          Pool.Solved { attempt = 2; makespan = 7; budget_used = 3; fuel = 40; cached = false }
+        in
+        let reported attempt error_class transient backoff =
+          Some (Pool.Failed { attempt; error_class; transient; backoff })
+        in
+        List.iter
+          (fun (name, attempt, report, expected) ->
+            Alcotest.(check (pair (option string) string))
+              name (show expected)
+              (show (Pool.settle ~max_attempts:3 ~attempt report)))
+          [
+            ("solved: done, finished", 2, Some solved, (Some done_, Pool.Finished));
+            ( "transient below max_attempts: retried after its backoff",
+              1,
+              reported 1 "deadline" true 150,
+              (Some (failed 1 "deadline" true 150), Pool.Retry 150) );
+            ( "transient at max_attempts: permanent, backoff dropped",
+              3,
+              reported 3 "deadline" true 450,
+              (Some (failed 3 "deadline" false 0), Pool.Finished) );
+            ( "permanent: failed, finished",
+              1,
+              reported 1 "parse" false 0,
+              (Some (failed 1 "parse" false 0), Pool.Finished) );
+            ( "abandoned: journaled, claim replayed",
+              2,
+              Some (Pool.Abandoned { attempt = 2 }),
+              (Some (Journal.Abandoned { attempt = 2 }), Pool.Replay) );
+            ("worker death: nothing journaled, claim replayed", 2, None, (None, Pool.Replay));
+          ];
+        (* the next-attempt rule both drains start from *)
+        List.iter
+          (fun (name, status, expected) ->
+            Alcotest.(check (option int)) name expected (Journal.next_attempt status))
+          [
+            ("unseen job", None, Some 1);
+            ("pending after 2 attempts", Some (Journal.Pending { attempts = 2 }), Some 3);
+            ("crashed attempt 2 is consumed", Some (Journal.Running { attempt = 2 }), Some 3);
+            ("abandoned attempt 1 is consumed", Some (Journal.Interrupted { attempt = 1 }), Some 2);
+            ( "completed",
+              Some
+                (Journal.Completed
+                   { attempt = 1; makespan = 1; budget_used = 0; fuel = 0; cached = false }),
+              None );
+            ("dead", Some (Journal.Dead { attempts = 3; error_class = "parse" }), None);
+          ];
+        Alcotest.(check string)
+          "retries-exhausted record" "failed j.rtt 3 retries-exhausted permanent 0"
+          (Option.get
+             (Frame.unframe
+                (Journal.encode
+                   { Journal.job = "j.rtt"; event = Journal.retries_exhausted ~max_attempts:3 }))));
+  ]
 
 let pool_units =
   [
@@ -129,6 +244,29 @@ let pool_units =
           (Supervisor.run (cfg par 2));
         Alcotest.(check (list string))
           "same retry schedule" (sorted_journal ~spool:seq) (sorted_journal ~spool:par);
+        (* the daemon's workers settle through the same rule: each job's
+           started/failed sequence, attempts and backoffs included, is
+           the pool's *)
+        let dmn = fresh_spool "seed_dmn" in
+        write_job ~spool:dmn "a.rtt" (cheap_instance 31);
+        write_job ~spool:dmn "b.rtt" (cheap_instance 32);
+        Alcotest.(check int) "daemon exit" Supervisor.failed_jobs_exit_code
+          (daemon_drain (cfg dmn 2) ~jobs:[ "a.rtt"; "b.rtt" ]);
+        let schedule ~spool job =
+          List.filter_map
+            (fun r ->
+              match r.Journal.event with
+              | (Journal.Started _ | Journal.Failed _) when r.Journal.job = job ->
+                  Some (Journal.encode r)
+              | _ -> None)
+            (Journal.replay ~spool)
+        in
+        List.iter
+          (fun job ->
+            Alcotest.(check (list string))
+              (job ^ ": daemon settles like the pool")
+              (schedule ~spool:par job) (schedule ~spool:dmn job))
+          [ "a.rtt"; "b.rtt" ];
         let backoffs job =
           List.filter_map
             (fun r ->
@@ -225,24 +363,6 @@ let spawn_serve ?(extra = []) ~spool () =
   Unix.close null;
   pid
 
-let wait_exit pid =
-  match Unix.waitpid [] pid with
-  | _, Unix.WEXITED c -> `Exited c
-  | _, Unix.WSIGNALED s -> `Signaled s
-  | _, Unix.WSTOPPED _ -> `Stopped
-
-let wait_for ?(timeout = 60.0) pred =
-  let t0 = Unix.gettimeofday () in
-  let rec go () =
-    if pred () then true
-    else if Unix.gettimeofday () -. t0 > timeout then false
-    else begin
-      ignore (Unix.select [] [] [] 0.005);
-      go ()
-    end
-  in
-  go ()
-
 (* direct children of [pid], via the Linux children file *)
 let children_of pid =
   let path = Printf.sprintf "/proc/%d/task/%d/children" pid pid in
@@ -330,4 +450,4 @@ let process_units =
 
 let () =
   Alcotest.run "pool"
-    [ ("pool", pool_units); ("process", process_units) ]
+    [ ("settle", settle_units); ("pool", pool_units); ("process", process_units) ]
